@@ -50,7 +50,7 @@ void BM_Sha256Traced(benchmark::State& state) {
     zvm::Env env({}, {});
     auto digest = env.sha256(data);
     benchmark::DoNotOptimize(digest);
-    benchmark::DoNotOptimize(env.trace().size());
+    benchmark::DoNotOptimize(env.cycles());
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(size));

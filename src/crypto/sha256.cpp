@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/sha256_backend.h"
+
 namespace zkt::crypto {
 
 namespace {
@@ -50,8 +52,8 @@ Sha256State Sha256State::initial() {
                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}};
 }
 
-Sha256State sha256_compress(const Sha256State& state,
-                            const std::array<u8, 64>& block) {
+Sha256State sha256_compress_scalar(const Sha256State& state,
+                                   const std::array<u8, 64>& block) {
   u32 w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<u32>(block[4 * i + 0]) << 24) |
@@ -155,30 +157,6 @@ Digest32 sha256_pair(const Digest32& left, const Digest32& right) {
   h.update(left.view());
   h.update(right.view());
   return h.finalize();
-}
-
-void sha256_padded_blocks(
-    BytesView data, const std::function<void(const std::array<u8, 64>&)>& fn) {
-  std::array<u8, 64> block;
-  size_t pos = 0;
-  while (data.size() - pos >= 64) {
-    std::memcpy(block.data(), data.data() + pos, 64);
-    fn(block);
-    pos += 64;
-  }
-  const size_t rest = data.size() - pos;
-  std::memset(block.data(), 0, 64);
-  if (rest > 0) std::memcpy(block.data(), data.data() + pos, rest);
-  block[rest] = 0x80;
-  const u64 bit_len = static_cast<u64>(data.size()) * 8;
-  if (rest + 1 > 56) {
-    fn(block);
-    std::memset(block.data(), 0, 64);
-  }
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<u8>(bit_len >> (56 - 8 * i));
-  }
-  fn(block);
 }
 
 Digest32 hmac_sha256(BytesView key, BytesView data) {

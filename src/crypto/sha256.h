@@ -7,8 +7,6 @@
 // verifier can recheck independently.
 #pragma once
 
-#include <functional>
-
 #include "common/bytes.h"
 #include "crypto/digest.h"
 
@@ -26,6 +24,9 @@ struct Sha256State {
 };
 
 /// One application of the SHA-256 compression function on a 64-byte block.
+/// Dispatches at runtime (crypto/sha256_backend.h): SHA-NI when the CPU has
+/// it and no other backend is pinned, else the portable compressor. Every
+/// backend is bit-identical, so results never depend on the choice.
 Sha256State sha256_compress(const Sha256State& state,
                             const std::array<u8, 64>& block);
 
@@ -65,12 +66,6 @@ Digest32 sha256_pair(const Digest32& left, const Digest32& right);
 constexpr u64 sha256_compression_count(u64 n) {
   return (n + 8) / 64 + 1;  // message blocks + padding/length block
 }
-
-/// Invoke fn on every 64-byte block of the FIPS-180-4 padded message.
-/// Folding sha256_compress over these blocks from the initial state yields
-/// sha256(data); the zkVM uses this to emit one trace row per compression.
-void sha256_padded_blocks(BytesView data,
-                          const std::function<void(const std::array<u8, 64>&)>& fn);
 
 /// HMAC-SHA256 (RFC 2104).
 Digest32 hmac_sha256(BytesView key, BytesView data);

@@ -12,16 +12,21 @@
 //   avx2    — 8-way interleaved multi-buffer compressor (eight independent
 //             lanes per instruction stream)
 //
+// The single-block crypto::sha256_compress() dispatches too: SHA-NI when it
+// is the active backend, the portable compressor otherwise (an 8-lane AVX2
+// pass gains nothing on one block). So the streaming hasher, the Merkle
+// leaf/node hashes, zvm::Env's traced rows and the verifier's row re-checks
+// all run on SHA-NI where the CPU has it.
+//
 // All backends are bit-identical: digests, guest trace rows, receipts and
 // claim digests do not change with the backend, so the choice is purely a
-// host-side throughput decision. Backends are selected at runtime via CPUID
-// (never by -march of the build), so one binary runs everywhere; the
-// ZKT_SHA256_BACKEND environment variable or sha256_force_backend() pin a
-// specific backend for tests and benchmarks.
-//
-// Host-side only: guests hash through zvm::Env one traced compression at a
-// time and never reach this header (see .zkt-lint.toml guest-determinism
-// excludes).
+// host-side throughput decision. That is also why guest determinism holds
+// although guests' traced hashing now reaches this dispatch: the backend
+// decides how fast a compression runs, never what it returns. Backends are
+// selected at runtime via CPUID (never by -march of the build), so one
+// binary runs everywhere; the ZKT_SHA256_BACKEND environment variable or
+// sha256_force_backend() pin a specific backend — for the single-block path
+// as well — for tests and benchmarks.
 #pragma once
 
 #include <optional>
@@ -47,11 +52,21 @@ bool sha256_backend_compiled(Sha256Backend backend);
 bool sha256_backend_available(Sha256Backend backend);
 /// The backend sha256_compress_many() currently dispatches to.
 Sha256Backend sha256_active_backend();
+/// The backend single-block sha256_compress() currently runs on: shani when
+/// that is the active backend, scalar otherwise.
+Sha256Backend sha256_single_block_backend();
 
 /// Test/bench hook: pin dispatch to `backend` (must be available), or pass
-/// nullopt to restore automatic selection. Returns false — leaving the
-/// selection unchanged — if the requested backend is not available.
+/// nullopt to restore the process default (the ZKT_SHA256_BACKEND pin if it
+/// names an available backend, else automatic selection). Returns false —
+/// leaving the selection unchanged — if the requested backend is not
+/// available.
 bool sha256_force_backend(std::optional<Sha256Backend> backend);
+
+/// The portable FIPS 180-4 compressor: the scalar backend, and the
+/// reference every other backend is tested against.
+Sha256State sha256_compress_scalar(const Sha256State& state,
+                                   const std::array<u8, 64>& block);
 
 /// Apply one compression per independent lane:
 ///   states[i] <- compress(states[i], blocks[i])
@@ -67,9 +82,12 @@ void sha256_compress_many(std::span<Sha256State> states,
 std::vector<Digest32> sha256_many(std::span<const BytesView> msgs,
                                   std::optional<u8> tag);
 
-/// Cumulative dispatch accounting since process start, per backend. The obs
-/// layer sits above crypto in the module DAG, so callers (prover, sharded
-/// service, benches) publish these into obs::Registry themselves.
+/// Cumulative dispatch accounting since process start, per backend. Only
+/// batched sha256_compress_many() calls are counted; single-block
+/// sha256_compress() calls are not (an atomic add per block would cost a
+/// noticeable share of a SHA-NI compression). The obs layer sits above
+/// crypto in the module DAG, so callers (prover, sharded service, benches)
+/// publish these into obs::Registry themselves.
 struct Sha256BackendStats {
   u64 blocks = 0;   ///< compression-function applications
   u64 batches = 0;  ///< sha256_compress_many() calls

@@ -24,7 +24,7 @@ namespace zkt::crypto {
 void sha256_compress_many_scalar(Sha256State* states,
                                  const std::array<u8, 64>* blocks, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    states[i] = sha256_compress(states[i], blocks[i]);
+    states[i] = sha256_compress_scalar(states[i], blocks[i]);
   }
 }
 
@@ -78,21 +78,38 @@ const CpuSupport& cpu_support() {
   return support;
 }
 
-// 0..2 = forced backend, kAuto = automatic selection.
-constexpr u8 kAuto = 0xff;
+Sha256Backend automatic_backend() {
+  // SHA-NI beats the 8-way AVX2 interleave per block on every CPU shipping
+  // both, so prefer it even for wide batches.
+  if (sha256_backend_available(Sha256Backend::shani)) {
+    return Sha256Backend::shani;
+  }
+  if (sha256_backend_available(Sha256Backend::avx2)) {
+    return Sha256Backend::avx2;
+  }
+  return Sha256Backend::scalar;
+}
 
-std::atomic<u8>& forced_backend() {
-  static std::atomic<u8> forced = [] {
-    u8 initial = kAuto;
+/// The process default: the ZKT_SHA256_BACKEND pin when it names an
+/// available backend, else automatic_backend().
+Sha256Backend default_backend() {
+  static const Sha256Backend initial = [] {
     if (const char* env = std::getenv("ZKT_SHA256_BACKEND")) {
       if (auto parsed = sha256_backend_from_name(env);
           parsed.has_value() && sha256_backend_available(*parsed)) {
-        initial = static_cast<u8>(*parsed);
+        return *parsed;
       }
     }
-    return std::atomic<u8>(initial);
+    return automatic_backend();
   }();
-  return forced;
+  return initial;
+}
+
+/// The resolved active backend. Kept resolved rather than recomputed per
+/// call, because single-block sha256_compress() reads it on every block.
+std::atomic<u8>& selected_backend() {
+  static std::atomic<u8> selected{static_cast<u8>(default_backend())};
+  return selected;
 }
 
 struct BackendCounters {
@@ -196,34 +213,42 @@ bool sha256_backend_available(Sha256Backend backend) {
 }
 
 Sha256Backend sha256_active_backend() {
-  const u8 forced = forced_backend().load(std::memory_order_relaxed);
-  if (forced != kAuto) return static_cast<Sha256Backend>(forced);
-  // SHA-NI beats the 8-way AVX2 interleave per block on every CPU shipping
-  // both, so prefer it even for wide batches.
-  if (sha256_backend_available(Sha256Backend::shani)) {
-    return Sha256Backend::shani;
-  }
-  if (sha256_backend_available(Sha256Backend::avx2)) {
-    return Sha256Backend::avx2;
-  }
-  return Sha256Backend::scalar;
+  return static_cast<Sha256Backend>(
+      selected_backend().load(std::memory_order_relaxed));
 }
 
 bool sha256_force_backend(std::optional<Sha256Backend> backend) {
-  if (!backend.has_value()) {
-    forced_backend().store(kAuto, std::memory_order_relaxed);
-    return true;
+  if (backend.has_value() && !sha256_backend_available(*backend)) {
+    return false;
   }
-  if (!sha256_backend_available(*backend)) return false;
-  forced_backend().store(static_cast<u8>(*backend),
-                         std::memory_order_relaxed);
+  selected_backend().store(
+      static_cast<u8>(backend.value_or(default_backend())),
+      std::memory_order_relaxed);
   return true;
+}
+
+Sha256Backend sha256_single_block_backend() {
+  return sha256_active_backend() == Sha256Backend::shani
+             ? Sha256Backend::shani
+             : Sha256Backend::scalar;
 }
 
 Sha256BackendStats sha256_backend_stats(Sha256Backend backend) {
   const BackendCounters& c = counters(backend);
   return Sha256BackendStats{c.blocks.load(std::memory_order_relaxed),
                             c.batches.load(std::memory_order_relaxed)};
+}
+
+Sha256State sha256_compress(const Sha256State& state,
+                            const std::array<u8, 64>& block) {
+#if defined(ZKT_HAVE_SHA256_SHANI)
+  if (sha256_single_block_backend() == Sha256Backend::shani) {
+    Sha256State out = state;
+    sha256_compress_many_shani(&out, &block, 1);
+    return out;
+  }
+#endif
+  return sha256_compress_scalar(state, block);
 }
 
 void sha256_compress_many(std::span<Sha256State> states,

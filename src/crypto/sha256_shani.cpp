@@ -8,7 +8,9 @@
 // reports the extensions (crypto/sha256_dispatch.cpp), so the rest of the
 // binary stays portable.
 //
-// Host-side only; guests never hash through the batch backends (see
+// Also serves single-block crypto::sha256_compress(), so guests' traced
+// hashing runs here too. Guest determinism holds because the result is
+// bit-identical to the portable compressor; only the speed differs (see
 // .zkt-lint.toml guest-determinism excludes).
 #include <immintrin.h>
 

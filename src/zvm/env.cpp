@@ -1,6 +1,8 @@
 #include "zvm/env.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "crypto/sha256.h"
 
@@ -35,49 +37,84 @@ void Env::commit_digest(const Digest32& d) { journal_.fixed(d.bytes); }
 void Env::commit_string(std::string_view s) { journal_.str(s); }
 void Env::commit_raw(BytesView data) { journal_.raw(data); }
 
-Digest32 Env::traced_sha256_with_prefix(u8 tag, bool use_tag, BytesView a,
-                                        BytesView b) {
-  Bytes buf;
-  buf.reserve((use_tag ? 1 : 0) + a.size() + b.size());
-  if (use_tag) buf.push_back(tag);
-  append(buf, a);
-  append(buf, b);
+template <typename Row>
+void Env::record(const Row& row) {
+  const u64 offset = rows_.size();
+  row_offsets_.push_back(offset);
+  rows_.resize(offset + Row::kBytes);
+  row.encode(rows_.data() + offset);
+}
 
-  crypto::Sha256State state = crypto::Sha256State::initial();
-  crypto::sha256_padded_blocks(buf, [&](const std::array<u8, 64>& block) {
-    RowSha256 row;
-    row.state_in = state;
-    row.block = block;
-    state = crypto::sha256_compress(state, block);
-    row.state_out = state;
-    trace_.push_back(TraceRow{row});
-  });
-  return state.to_digest();
+BytesView Env::row_bytes(u64 i) const {
+  const u64 end = i + 1 < row_offsets_.size() ? row_offsets_[i + 1]
+                                              : rows_.size();
+  return BytesView(rows_.data() + row_offsets_[i], end - row_offsets_[i]);
+}
+
+Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView a, BytesView b) {
+  // Each FIPS 180-4 padded block is assembled in `block` straight from the
+  // message parts, then compressed and recorded as one row.
+  RowSha256 row;
+  row.state_out = crypto::Sha256State::initial();
+  std::array<u8, 64>& block = row.block;
+  size_t fill = 0;
+  const auto compress = [&] {
+    row.state_in = row.state_out;
+    row.state_out = crypto::sha256_compress(row.state_in, block);
+    record(row);
+    ++sha_rows_;
+  };
+  const auto absorb = [&](BytesView part) {
+    while (!part.empty()) {
+      const size_t take = std::min(part.size(), 64 - fill);
+      std::memcpy(block.data() + fill, part.data(), take);
+      fill += take;
+      part = part.subspan(take);
+      if (fill == 64) {
+        compress();
+        fill = 0;
+      }
+    }
+  };
+  if (tag.has_value()) absorb(BytesView(&*tag, 1));
+  absorb(a);
+  absorb(b);
+
+  const u64 bit_len = 8 * ((tag.has_value() ? 1 : 0) + a.size() + b.size());
+  block[fill++] = 0x80;
+  if (fill > 56) {
+    std::memset(block.data() + fill, 0, 64 - fill);
+    compress();
+    fill = 0;
+  }
+  std::memset(block.data() + fill, 0, 56 - fill);
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<u8>(bit_len >> (56 - 8 * i));
+  }
+  compress();
+  return row.state_out.to_digest();
 }
 
 Digest32 Env::sha256(BytesView data) {
-  return traced_sha256_with_prefix(0, false, data, {});
+  return traced_sha256(std::nullopt, data, {});
 }
 
 Digest32 Env::hash_node(const Digest32& left, const Digest32& right) {
-  return traced_sha256_with_prefix(0x01, true, left.view(), right.view());
+  return traced_sha256(u8{0x01}, left.view(), right.view());
 }
 
 Digest32 Env::hash_leaf(BytesView data) {
-  return traced_sha256_with_prefix(0x00, true, data, {});
+  return traced_sha256(u8{0x00}, data, {});
 }
 
 u64 Env::alu(AluOp op, u64 a, u64 b) {
-  RowAlu row{op, a, b, alu_eval(op, a, b)};
-  trace_.push_back(TraceRow{row});
+  const RowAlu row{op, a, b, alu_eval(op, a, b)};
+  record(row);
   return row.c;
 }
 
 Status Env::assert_true(bool cond, std::string_view context) {
-  RowAssert row;
-  row.cond = cond ? 1 : 0;
-  row.context = crypto::sha256(context);
-  trace_.push_back(TraceRow{row});
+  record(RowAssert{cond ? 1u : 0u, crypto::sha256(context)});
   if (!cond) {
     return Error{Errc::guest_abort, std::string("assertion failed: ") +
                                         std::string(context)};
@@ -87,8 +124,7 @@ Status Env::assert_true(bool cond, std::string_view context) {
 
 Status Env::assert_eq(const Digest32& a, const Digest32& b,
                       std::string_view context) {
-  RowAssertEqDigest row{a, b};
-  trace_.push_back(TraceRow{row});
+  record(RowAssertEqDigest{a, b});
   if (a != b) {
     return Error{Errc::guest_abort,
                  std::string("digest mismatch: ") + std::string(context)};
@@ -165,8 +201,7 @@ Status Env::verify_assumption(const Digest32& image_id,
   for (const auto& receipt : assumption_receipts_) {
     if (receipt.claim.image_id == image_id &&
         receipt.claim.digest() == claim_digest) {
-      RowAssume row{image_id, claim_digest};
-      trace_.push_back(TraceRow{row});
+      record(RowAssume{image_id, claim_digest});
       assumptions_.push_back(Assumption{image_id, claim_digest});
       return {};
     }
@@ -196,15 +231,13 @@ void Env::end_region() {
 
 Digest32 Env::bind_input() {
   const Digest32 d = sha256(BytesView(input_.data(), input_.size()));
-  RowBindDigest row{BindTarget::input, d};
-  trace_.push_back(TraceRow{row});
+  record(RowBindDigest{BindTarget::input, d});
   return d;
 }
 
 Digest32 Env::bind_journal() {
   const Digest32 d = sha256(journal_.bytes());
-  RowBindDigest row{BindTarget::journal, d};
-  trace_.push_back(TraceRow{row});
+  record(RowBindDigest{BindTarget::journal, d});
   return d;
 }
 

@@ -5,10 +5,12 @@
 //                                     compression call)
 //   env::verify (assumptions)      -> Env::verify_assumption
 //
-// Every provable operation appends a TraceRow; the final trace is what the
-// prover commits to and the verifier samples. Reads consume the private
-// input stream (already bound to the claim by traced hashing); commits
-// append to the public journal.
+// Every provable operation appends one trace row; the final trace is what
+// the prover commits to and the verifier samples. Rows are recorded already
+// serialized (byte-for-byte TraceRow::serialize) into one flat buffer, so
+// the prover hashes leaves and slices openings straight out of it. Reads
+// consume the private input stream (already bound to the claim by traced
+// hashing); commits append to the public journal.
 #pragma once
 
 #include <optional>
@@ -82,7 +84,12 @@ class Env {
                            const Digest32& claim_digest);
 
   /// Trace rows executed so far (the zvm's cycle counter).
-  u64 cycles() const { return trace_.size(); }
+  u64 cycles() const { return row_offsets_.size(); }
+  /// How many of those rows are SHA-256 compression rows.
+  u64 sha_rows() const { return sha_rows_; }
+  /// Serialized bytes of row i (< cycles()), exactly as
+  /// TraceRow::serialize writes them. Valid until the next traced call.
+  BytesView row_bytes(u64 i) const;
 
   // ---- Profiling regions (host-side metadata, not part of the proof) ----
   /// Attribute subsequent cycles to a named region until end_region().
@@ -101,17 +108,21 @@ class Env {
   Digest32 bind_input();
   /// Hash the journal with traced rows and a bind row; returns the digest.
   Digest32 bind_journal();
-  const std::vector<TraceRow>& trace() const { return trace_; }
   const std::vector<Assumption>& assumptions() const { return assumptions_; }
 
  private:
-  Digest32 traced_sha256_with_prefix(u8 tag, bool use_tag, BytesView a,
-                                     BytesView b);
+  /// SHA-256 of (tag || a || b) with one traced row per compression.
+  Digest32 traced_sha256(std::optional<u8> tag, BytesView a, BytesView b);
+  /// Append `row`, encoded in place, to the trace.
+  template <typename Row>
+  void record(const Row& row);
 
   Bytes input_;
   Reader reader_;
   Writer journal_;
-  std::vector<TraceRow> trace_;
+  Bytes rows_;                    ///< every row, serialized, back to back
+  std::vector<u64> row_offsets_;  ///< start of each row in rows_
+  u64 sha_rows_ = 0;
   std::vector<Assumption> assumptions_;
   std::span<const Receipt> assumption_receipts_;
   std::vector<std::pair<std::string, u64>> regions_;

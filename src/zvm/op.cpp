@@ -1,5 +1,7 @@
 #include "zvm/op.h"
 
+#include <cstring>
+
 #include "crypto/merkle.h"
 
 namespace zkt::zvm {
@@ -28,8 +30,26 @@ OpKind TraceRow::kind() const {
 
 namespace {
 
-void write_state(Writer& w, const crypto::Sha256State& s) {
-  for (u32 word : s.h) w.u32v(word);
+u8* put_kind(u8* p, OpKind kind) {
+  *p = static_cast<u8>(kind);
+  return p + 1;
+}
+
+u8* put_u64(u8* p, u64 v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<u8>(v >> (8 * i));
+  return p + 8;
+}
+
+u8* put_state(u8* p, const crypto::Sha256State& s) {
+  for (u32 word : s.h) {
+    for (int i = 0; i < 4; ++i) *p++ = static_cast<u8>(word >> (8 * i));
+  }
+  return p;
+}
+
+u8* put_digest(u8* p, const Digest32& d) {
+  std::memcpy(p, d.bytes.data(), 32);
+  return p + 32;
 }
 
 Result<crypto::Sha256State> read_state(Reader& r) {
@@ -44,33 +64,43 @@ Result<crypto::Sha256State> read_state(Reader& r) {
 
 }  // namespace
 
+void RowSha256::encode(u8* out) const {
+  u8* p = put_state(put_kind(out, OpKind::sha256_compress), state_in);
+  std::memcpy(p, block.data(), block.size());
+  put_state(p + block.size(), state_out);
+}
+
+void RowAlu::encode(u8* out) const {
+  u8* p = put_kind(out, OpKind::alu);
+  *p++ = static_cast<u8>(op);
+  put_u64(put_u64(put_u64(p, a), b), c);
+}
+
+void RowAssert::encode(u8* out) const {
+  put_digest(put_u64(put_kind(out, OpKind::assert_true), cond), context);
+}
+
+void RowAssertEqDigest::encode(u8* out) const {
+  put_digest(put_digest(put_kind(out, OpKind::assert_eq_digest), a), b);
+}
+
+void RowBindDigest::encode(u8* out) const {
+  u8* p = put_kind(out, OpKind::bind_digest);
+  *p++ = static_cast<u8>(target);
+  put_digest(p, computed);
+}
+
+void RowAssume::encode(u8* out) const {
+  put_digest(put_digest(put_kind(out, OpKind::assume), image_id),
+             claim_digest);
+}
+
 void TraceRow::serialize(Writer& w) const {
-  w.u8v(static_cast<u8>(kind()));
   std::visit(
       [&w](const auto& row) {
-        using T = std::decay_t<decltype(row)>;
-        if constexpr (std::is_same_v<T, RowSha256>) {
-          write_state(w, row.state_in);
-          w.fixed(row.block);
-          write_state(w, row.state_out);
-        } else if constexpr (std::is_same_v<T, RowAlu>) {
-          w.u8v(static_cast<u8>(row.op));
-          w.u64v(row.a);
-          w.u64v(row.b);
-          w.u64v(row.c);
-        } else if constexpr (std::is_same_v<T, RowAssert>) {
-          w.u64v(row.cond);
-          w.fixed(row.context.bytes);
-        } else if constexpr (std::is_same_v<T, RowAssertEqDigest>) {
-          w.fixed(row.a.bytes);
-          w.fixed(row.b.bytes);
-        } else if constexpr (std::is_same_v<T, RowBindDigest>) {
-          w.u8v(static_cast<u8>(row.target));
-          w.fixed(row.computed.bytes);
-        } else if constexpr (std::is_same_v<T, RowAssume>) {
-          w.fixed(row.image_id.bytes);
-          w.fixed(row.claim_digest.bytes);
-        }
+        std::array<u8, std::decay_t<decltype(row)>::kBytes> bytes;
+        row.encode(bytes.data());
+        w.fixed(bytes);
       },
       op);
 }

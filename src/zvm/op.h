@@ -62,34 +62,51 @@ u64 alu_eval(AluOp op, u64 a, u64 b);
 /// Which claim field a bind_digest row anchors to.
 enum class BindTarget : u8 { input = 1, journal = 2 };
 
+// The row wire format lives in the encoders below and nowhere else: each
+// row writes its kind byte, then its fields little-endian in declaration
+// order, to out[0, kBytes). TraceRow::serialize and Env's in-place trace
+// recording both go through encode(); TraceRow::deserialize parses it.
+
 struct RowSha256 {
+  static constexpr size_t kBytes = 1 + 32 + 64 + 32;
   crypto::Sha256State state_in;
   std::array<u8, 64> block;
   crypto::Sha256State state_out;
+  void encode(u8* out) const;
 };
 
 struct RowAlu {
+  static constexpr size_t kBytes = 1 + 1 + 3 * 8;
   AluOp op;
   u64 a, b, c;
+  void encode(u8* out) const;
 };
 
 struct RowAssert {
+  static constexpr size_t kBytes = 1 + 8 + 32;
   u64 cond;
   Digest32 context;  ///< hash of the guest's assertion message
+  void encode(u8* out) const;
 };
 
 struct RowAssertEqDigest {
+  static constexpr size_t kBytes = 1 + 32 + 32;
   Digest32 a, b;
+  void encode(u8* out) const;
 };
 
 struct RowBindDigest {
+  static constexpr size_t kBytes = 1 + 1 + 32;
   BindTarget target;
   Digest32 computed;
+  void encode(u8* out) const;
 };
 
 struct RowAssume {
+  static constexpr size_t kBytes = 1 + 32 + 32;
   Digest32 image_id;
   Digest32 claim_digest;
+  void encode(u8* out) const;
 };
 
 struct TraceRow {

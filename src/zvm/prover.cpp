@@ -22,9 +22,9 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Rows serialized and hashed per MerkleTree::hash_leaves() batch. Bounds the
-/// transient serialization buffer to a few hundred KiB per worker while still
-/// keeping the SIMD lanes of the batched SHA-256 backends full.
+/// Rows hashed per MerkleTree::hash_leaves() batch. Bounds the batch's
+/// per-lane scratch state per worker while still keeping the SIMD lanes of
+/// the batched SHA-256 backends full.
 constexpr u64 kLeafBatchRows = 512;
 
 /// crypto cannot depend on obs (layer DAG), so backend/pool activity is
@@ -127,19 +127,12 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
   const auto commit_start = std::chrono::steady_clock::now();
   phase.emplace("commit");
 
-  const auto& trace = env.trace();
-  u64 sha_rows = 0;
-  for (const auto& row : trace) {
-    if (row.kind() == OpKind::sha256_compress) ++sha_rows;
-  }
+  const u64 sha_rows = env.sha_rows();
 
-  // Split into segments and commit each on the shared bounded pool. Leaves
-  // are hashed streaming-style: rows are serialized in small batches into a
-  // per-segment scratch buffer that is reused, so peak memory is
-  // O(kLeafBatchRows * row_size) per worker instead of one retained copy of
-  // the entire serialized trace. Rows needed for Fiat–Shamir openings are
-  // re-serialized later (serialization is deterministic).
-  const u64 total_rows = trace.size();
+  // Split into segments and commit each on the shared bounded pool. Env
+  // recorded the rows already serialized, so leaves are hashed from views
+  // into its buffer, and openings are sliced out of the same buffer.
+  const u64 total_rows = env.cycles();
   const u64 segment_count =
       std::max<u64>(1, (total_rows + options.max_segment_rows - 1) /
                            options.max_segment_rows);
@@ -150,7 +143,7 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
         metrics.histogram("zvm.prover.segment_commit_ms");
     obs::Histogram& leaf_batch_rows =
         metrics.histogram("zvm.prover.leaf_batch_rows");
-    // zkt-lint: shared(writes only segment seg's disjoint slots of trees/seg_start/seg_rows; histogram records are atomic)
+    // zkt-lint: shared(only reads env's rows; writes only segment seg's disjoint slots of trees/seg_start/seg_rows; histogram records are atomic)
     auto build_segment = [&](u64 seg) {
       const auto seg_begin_time = std::chrono::steady_clock::now();
       const u64 begin = seg * options.max_segment_rows;
@@ -159,23 +152,12 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
       seg_rows[seg] = end - begin;
       std::vector<Digest32> leaves;
       leaves.reserve(end - begin);
-      std::vector<size_t> offsets;
       std::vector<BytesView> views;
       for (u64 batch = begin; batch < end; batch += kLeafBatchRows) {
         const u64 batch_end = std::min(end, batch + kLeafBatchRows);
-        Writer scratch;
-        offsets.clear();
-        for (u64 i = batch; i < batch_end; ++i) {
-          offsets.push_back(scratch.bytes().size());
-          trace[i].serialize(scratch);
-        }
-        offsets.push_back(scratch.bytes().size());
-        // Views are taken only once the batch buffer has stopped growing.
-        const Bytes& buf = scratch.bytes();
         views.clear();
-        for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-          views.emplace_back(buf.data() + offsets[i],
-                             offsets[i + 1] - offsets[i]);
+        for (u64 i = batch; i < batch_end; ++i) {
+          views.push_back(env.row_bytes(i));
         }
         auto digests = crypto::MerkleTree::hash_leaves(views);
         leaves.insert(leaves.end(), digests.begin(), digests.end());
@@ -222,9 +204,8 @@ Result<Receipt> Prover::prove(const ImageID& image_id, BytesView input,
     for (u64 idx : indices) {
       SealOpening opening;
       opening.row_index = idx;
-      Writer w;
-      trace[seg_start[seg] + idx].serialize(w);
-      opening.row_bytes = std::move(w).take();
+      const BytesView row = env.row_bytes(seg_start[seg] + idx);
+      opening.row_bytes.assign(row.begin(), row.end());
       opening.proof = trees[seg].prove(idx);
       segment.openings.push_back(std::move(opening));
     }

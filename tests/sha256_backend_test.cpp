@@ -1,10 +1,12 @@
-// Cross-backend equivalence for the batched SHA-256 layer: every compiled
-// backend must produce digests bit-identical to the portable scalar code on
-// randomized inputs, across every batch API (compress_many, sha256_many,
-// MerkleTree::hash_leaves / hash_pairs) and for full trees. Backends are
-// pinned through the sha256_force_backend() test hook.
+// Cross-backend equivalence for the SHA-256 layer: every compiled backend
+// must produce digests bit-identical to the portable scalar compressor on
+// randomized inputs, for single-block sha256_compress, across every batch
+// API (compress_many, sha256_many, MerkleTree::hash_leaves / hash_pairs) and
+// for full trees. Backends are pinned through the sha256_force_backend()
+// test hook or the ZKT_SHA256_BACKEND environment variable.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
 #include <vector>
 
@@ -103,13 +105,85 @@ TEST(Sha256BackendTest, CompressManyMatchesScalarPerLane) {
       }
       std::vector<Sha256State> expected = states;
       for (size_t i = 0; i < lanes; ++i) {
-        expected[i] = sha256_compress(expected[i], blocks[i]);
+        expected[i] = sha256_compress_scalar(expected[i], blocks[i]);
       }
       sha256_compress_many(states, blocks);
       for (size_t i = 0; i < lanes; ++i) {
         EXPECT_EQ(states[i].h, expected[i].h)
             << sha256_backend_name(b) << " lane " << i << " of " << lanes;
       }
+    }
+  }
+}
+
+TEST(Sha256BackendTest, SingleBlockFollowsPinnedBackend) {
+  for (Sha256Backend b : available_backends()) {
+    ScopedBackend pin(b);
+    ASSERT_TRUE(pin.forced());
+    // One block gains nothing from an 8-lane pass: only shani is used as is.
+    EXPECT_EQ(sha256_single_block_backend(),
+              b == Sha256Backend::shani ? Sha256Backend::shani
+                                        : Sha256Backend::scalar)
+        << sha256_backend_name(b);
+  }
+  ScopedBackend scalar(Sha256Backend::scalar);
+  EXPECT_EQ(sha256_single_block_backend(), Sha256Backend::scalar);
+}
+
+TEST(Sha256BackendTest, EnvironmentPinAppliesToSingleBlock) {
+  const char* env = std::getenv("ZKT_SHA256_BACKEND");
+  if (env == nullptr) GTEST_SKIP() << "ZKT_SHA256_BACKEND is not set";
+  const auto pinned = sha256_backend_from_name(env);
+  if (!pinned.has_value() || !sha256_backend_available(*pinned)) {
+    GTEST_SKIP() << "ZKT_SHA256_BACKEND=" << env << " is not available here";
+  }
+  // Holds at any point in the run: releasing a forced pin (ScopedBackend)
+  // restores the environment's pin, not automatic selection.
+  EXPECT_EQ(sha256_active_backend(), *pinned);
+  if (*pinned == Sha256Backend::scalar) {
+    EXPECT_EQ(sha256_single_block_backend(), Sha256Backend::scalar);
+  }
+  {
+    ScopedBackend other(available_backends().back());
+  }
+  EXPECT_EQ(sha256_active_backend(), *pinned);
+}
+
+TEST(Sha256BackendTest, SingleBlockKnownAnswer) {
+  // FIPS 180-4 example "abc": one padded block from the initial state.
+  std::array<u8, 64> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // message length in bits
+  const std::string want =
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+  EXPECT_EQ(sha256_compress_scalar(Sha256State::initial(), block)
+                .to_digest()
+                .hex(),
+            want);
+  for (Sha256Backend b : available_backends()) {
+    ScopedBackend pin(b);
+    ASSERT_TRUE(pin.forced());
+    EXPECT_EQ(sha256_compress(Sha256State::initial(), block).to_digest().hex(),
+              want)
+        << sha256_backend_name(b);
+  }
+}
+
+TEST(Sha256BackendTest, SingleBlockMatchesScalar) {
+  Xoshiro256 rng(515);
+  for (Sha256Backend b : available_backends()) {
+    ScopedBackend pin(b);
+    ASSERT_TRUE(pin.forced());
+    for (int trial = 0; trial < 200; ++trial) {
+      const Sha256State state = random_state(rng);
+      std::array<u8, 64> block;
+      for (auto& byte : block) byte = static_cast<u8>(rng.uniform(256));
+      EXPECT_EQ(sha256_compress(state, block).h,
+                sha256_compress_scalar(state, block).h)
+          << sha256_backend_name(b) << " trial " << trial;
     }
   }
 }

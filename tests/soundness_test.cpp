@@ -60,20 +60,22 @@ Receipt make_cheating_receipt(u64 rows, u32 num_queries, u64 bad_row,
   claim.journal_digest = env.bind_journal();
   claim.cycle_count = env.cycles();
 
-  // Serialize rows, then corrupt one ALU row's result.
+  // Copy the recorded rows, then corrupt one ALU row's result bytes.
   std::vector<Bytes> row_bytes;
   std::vector<Digest32> leaves;
   u64 seen_alu = 0;
-  for (const auto& row : env.trace()) {
-    TraceRow copy = row;
-    if (auto* alu = std::get_if<RowAlu>(&copy.op)) {
-      if (seen_alu++ == bad_row) {
-        alu->c += 1;  // the lie
-      }
+  for (u64 i = 0; i < env.cycles(); ++i) {
+    const BytesView view = env.row_bytes(i);
+    Bytes row(view.begin(), view.end());
+    if (row[0] == static_cast<u8>(OpKind::alu) && seen_alu++ == bad_row) {
+      Reader r(row);
+      TraceRow parsed = TraceRow::deserialize(r).value();
+      std::get<RowAlu>(parsed.op).c += 1;  // the lie
+      Writer w;
+      parsed.serialize(w);
+      row = std::move(w).take();
     }
-    Writer w;
-    copy.serialize(w);
-    row_bytes.push_back(std::move(w).take());
+    row_bytes.push_back(std::move(row));
     leaves.push_back(crypto::MerkleTree::hash_leaf(row_bytes.back()));
   }
   crypto::MerkleTree tree(leaves);

@@ -3,6 +3,8 @@
 // serialization, and the assumption (receipt chaining) mechanism.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "crypto/sha256.h"
 #include "zvm/env.h"
 #include "zvm/image.h"
@@ -180,6 +182,92 @@ TEST(Env, JournalFraming) {
   EXPECT_EQ(r.blob().value(), bytes_of("abc"));
   EXPECT_EQ(r.str().value(), "str");
   EXPECT_TRUE(r.done());
+}
+
+TEST(Env, TracedHashesMatchNativeAtEveryPaddingEdge) {
+  // Lengths 0..130 cross the 55/56/63/64-byte padding edges for both the
+  // untagged and the one-byte-tagged message. The recorded SHA rows must be
+  // exactly the padded blocks folded from the initial state.
+  Bytes data(130);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 37);
+  const auto check_rows = [](const Env& env, u64 first, u64 message_len,
+                             const Digest32& digest) {
+    ASSERT_EQ(env.cycles() - first,
+              crypto::sha256_compression_count(message_len));
+    crypto::Sha256State state = crypto::Sha256State::initial();
+    for (u64 i = first; i < env.cycles(); ++i) {
+      Reader r(env.row_bytes(i));
+      auto row = TraceRow::deserialize(r);
+      ASSERT_TRUE(row.ok());
+      const auto& sha = std::get<RowSha256>(row.value().op);
+      EXPECT_EQ(sha.state_in, state) << "row " << i;
+      state = crypto::sha256_compress(state, sha.block);
+      EXPECT_EQ(sha.state_out, state) << "row " << i;
+    }
+    EXPECT_EQ(state.to_digest(), digest);
+  };
+  for (size_t n = 0; n <= data.size(); ++n) {
+    const BytesView msg(data.data(), n);
+    Bytes tagged{0x00};
+    tagged.insert(tagged.end(), msg.begin(), msg.end());
+
+    Env env({}, {});
+    const Digest32 plain = env.sha256(msg);
+    EXPECT_EQ(plain, sha256(msg)) << n;
+    check_rows(env, 0, n, plain);
+    const u64 mark = env.cycles();
+    const Digest32 leaf = env.hash_leaf(msg);
+    EXPECT_EQ(leaf, sha256(tagged)) << n;
+    check_rows(env, mark, n + 1, leaf);
+    EXPECT_EQ(env.sha_rows(), env.cycles());
+  }
+  Env env({}, {});
+  const Digest32 a = sha256(std::string_view("left"));
+  const Digest32 b = sha256(std::string_view("right"));
+  Bytes node{0x01};
+  node.insert(node.end(), a.bytes.begin(), a.bytes.end());
+  node.insert(node.end(), b.bytes.begin(), b.bytes.end());
+  EXPECT_EQ(env.hash_node(a, b), sha256(node));
+}
+
+TEST(Env, RecordedRowsRoundTripThroughTraceRow) {
+  // A prior receipt to assume, so every row kind gets recorded.
+  Prover prover;
+  auto inner = prover.prove(register_adder(), adder_input(1, 2, "in"));
+  ASSERT_TRUE(inner.ok());
+  const std::vector<Receipt> inners{inner.value()};
+
+  Env env(adder_input(3, 9, "some blob longer than one sha block, to span "
+                            "the padding of two compressions"),
+          inners);
+  env.bind_input();
+  ASSERT_TRUE(adder_guest(env).ok());
+  ASSERT_TRUE(env.assert_eq(sha256(std::string_view("x")),
+                            sha256(std::string_view("x")), "eq")
+                  .ok());
+  ASSERT_TRUE(env.verify_assumption(inner.value().claim.image_id,
+                                    inner.value().claim.digest())
+                  .ok());
+  env.hash_node(sha256(std::string_view("l")), sha256(std::string_view("r")));
+  env.bind_journal();
+
+  std::set<OpKind> kinds;
+  u64 sha_rows = 0;
+  for (u64 i = 0; i < env.cycles(); ++i) {
+    const BytesView bytes = env.row_bytes(i);
+    Reader r(bytes);
+    auto row = TraceRow::deserialize(r);
+    ASSERT_TRUE(row.ok()) << "row " << i;
+    EXPECT_TRUE(r.done()) << "row " << i;
+    Writer w;
+    row.value().serialize(w);
+    EXPECT_EQ(w.bytes(), Bytes(bytes.begin(), bytes.end())) << "row " << i;
+    EXPECT_TRUE(row.value().check().ok()) << "row " << i;
+    kinds.insert(row.value().kind());
+    if (row.value().kind() == OpKind::sha256_compress) ++sha_rows;
+  }
+  EXPECT_EQ(kinds.size(), 6u);
+  EXPECT_EQ(env.sha_rows(), sha_rows);
 }
 
 // ---------------------------------------------------------------------------
