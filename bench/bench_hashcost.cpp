@@ -116,7 +116,9 @@ void BM_PaperHashAccounting(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::MerkleTree::build_hash_count(3000));
   }
   // Paper accounting: a depth-11 tree over 3000 records needs ~35,000 hashes
-  // (per-record Merkle path verification dominates: records × depth). Ours:
+  // (per-record Merkle path verification dominates: records × depth). Ours,
+  // for Algorithm 1 as written (the guest itself skips line 16's walk: its
+  // in-trace rebuild of T_prev already binds every entry; EXPERIMENTS.md §7):
   const double depth = 12.0;  // bit_ceil(3000) = 4096
   const double path_hashes = 3000.0 * depth;         // Algorithm 1 line 16
   const double tree_hashes =
@@ -216,9 +218,9 @@ void measure_backend(BackendResult& out, crypto::Digest32* pair_digest) {
     crypto::MerkleTree::hash_pairs(digests, pairs);
     ++pair_iters;
   } while (seconds_since(t0) < kMinSeconds);
-  // Node message = 65 bytes = 2 compression blocks.
-  out.pair_blocks_per_s = static_cast<double>(pair_iters) * pairs.size() *
-                          2.0 / seconds_since(t0);
+  // A node is one compression block (MerkleTree::node_iv()).
+  out.pair_blocks_per_s = static_cast<double>(pair_iters) * pairs.size() /
+                          seconds_since(t0);
   *pair_digest = pairs.empty() ? crypto::Digest32{} : pairs[0];
 }
 

@@ -70,8 +70,8 @@ inline CommittedWorkload make_committed_workload(u64 record_count,
 
 /// Commit a follow-up window over the SAME flows (same seed -> same keys) so
 /// aggregating it exercises Algorithm 1's update path: every record merges
-/// into an existing CLog entry and triggers the per-record Merkle
-/// verification against the previous round's tree.
+/// into an existing CLog entry, authenticated against the previous round's
+/// tree.
 inline std::vector<netflow::RLogBatch> add_window(CommittedWorkload& workload,
                                                   u64 record_count,
                                                   u64 window_id,

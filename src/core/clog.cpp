@@ -97,11 +97,15 @@ std::vector<CLogUpdate> CLogState::apply_records(
   }
 
   if (created_count == 0) {
-    // Merge-only round: per-leaf path refresh is O(k log n), far cheaper
-    // than a rebuild when the round touches a sliver of a large state.
+    // Merge-only round: refresh only the dirty paths, each stale node once
+    // (at most min(k log n, 2n) hashes), far cheaper than a rebuild when
+    // the round touches a sliver of a large state.
+    std::vector<std::pair<u64, Digest32>> leaves;
+    leaves.reserve(updates.size());
     for (const auto& update : updates) {
-      tree_.update_leaf(update.index, update.new_leaf);
+      leaves.emplace_back(update.index, update.new_leaf);
     }
+    tree_.update_leaves(leaves);
     return updates;
   }
 

@@ -196,22 +196,6 @@ std::vector<std::vector<Digest32>> merkle_levels_traced(
   return levels;
 }
 
-/// Algorithm 1, line 16: traced re-verification of one leaf's path against
-/// the (already recomputed) tree — the per-record VerifyMerkle(T_prev, f)
-/// step whose in-zkVM hashing dominates the paper's aggregation cost.
-Status verify_path_traced(zvm::Env& env,
-                          const std::vector<std::vector<Digest32>>& levels,
-                          u64 index, const Digest32& root) {
-  Digest32 acc = levels[0][index];
-  u64 idx = index;
-  for (size_t level = 0; level + 1 < levels.size(); ++level) {
-    const Digest32& sibling = levels[level][idx ^ 1];
-    acc = (idx & 1) ? env.hash_node(sibling, acc) : env.hash_node(acc, sibling);
-    idx >>= 1;
-  }
-  return env.assert_eq(acc, root, "per-record Merkle verification");
-}
-
 /// True iff `sorted` has an element in [lo, hi).
 bool range_has(const std::vector<u64>& sorted, u64 lo, u64 hi) {
   auto it = std::lower_bound(sorted.begin(), sorted.end(), lo);
@@ -632,6 +616,8 @@ Status aggregate_guest(Env& env) {
         "previous CLog state must be strictly key-sorted"));
     work.push_back(WorkEntry{std::move(entry.value()), i, false, false});
   }
+  // This root check is what binds every entry a record merges into (and
+  // every reused subtree below) to prev_root; there is no per-record walk.
   const auto prev_levels = merkle_levels_traced(env, leaves);
   ZKT_TRY(env.assert_eq(prev_levels.back()[0], journal.prev_root,
                         "previous CLog state vs committed root"));
@@ -643,9 +629,7 @@ Status aggregate_guest(Env& env) {
   // Flows created this round live in a side map instead of being spliced
   // into `work` per record — a sorted-vector insert there re-shuffles O(n)
   // entries per new flow, which turns genesis-shaped rounds quadratic in
-  // untraced host time. The traced op sequence is unchanged: prev-state
-  // flows verify their path and merge exactly as before, created flows
-  // merge with no path, and the side map joins `work` in key order for the
+  // untraced host time. The side map joins `work` in key order for the
   // rebuild pass below.
   std::map<FlowKey, WorkEntry> created_flows;
   for (u64 b = 0; b < n_batches.value(); ++b) {
@@ -658,11 +642,10 @@ Status aggregate_guest(Env& env) {
           work.begin(), work.end(), record.key,
           [](const WorkEntry& w, const FlowKey& k) { return w.entry.key < k; });
       if (it != work.end() && it->entry.key == record.key) {
-        // Algorithm 1, lines 15-18: the flow exists in C_prev — verify its
-        // Merkle path against T_prev before aggregating into it.
-        env.begin_region("per_record_merkle_verify");
-        ZKT_TRY(verify_path_traced(env, prev_levels, it->old_index,
-                                   journal.prev_root));
+        // Algorithm 1, lines 15-18: the flow exists in C_prev. Its entry is
+        // already bound to T_prev: every prev leaf was hashed from these
+        // bytes and the rebuilt root asserted equal to prev_root above, so
+        // a per-record path walk would only recompute fixed values.
         env.begin_region("aggregate_records");
         merge_traced(env, it->entry, record);
         it->merged = true;
@@ -1042,7 +1025,7 @@ const GuestImages& guest_images() {
   static const GuestImages images = [] {
     GuestImages g;
     g.aggregate =
-        zvm::ImageRegistry::instance().add("zkt.guest.aggregate", 1,
+        zvm::ImageRegistry::instance().add("zkt.guest.aggregate", 2,
                                            aggregate_guest);
     g.aggregate_incremental = zvm::ImageRegistry::instance().add(
         "zkt.guest.aggregate_incremental", 1,

@@ -94,7 +94,7 @@ enum class AggMode : u8 {
 /// variant). A struct rather than positional parameters so new knobs don't
 /// silently shift argument meanings at call sites.
 struct AggregationOptions {
-  zvm::ProveOptions prove_options;
+  zvm::ProveOptions prove_options = {};
   AggMode mode = AggMode::auto_select;
   /// auto_select proves incrementally only while the delta's estimated
   /// traced-hash count stays below this fraction of the full rebuild's —

@@ -130,7 +130,7 @@ struct ShardedOptions {
   /// it in the merged view. The recommendation instead applies where a
   /// chain starts: a fresh service, the next deployment epoch, or recovery
   /// onto an empty store.
-  std::optional<AdaptiveShardOptions> adaptive_shards;
+  std::optional<AdaptiveShardOptions> adaptive_shards = std::nullopt;
   /// Children per join node when folding a round's shard receipts into one
   /// tree seal; < 2 disables the fold (per-shard receipts are then the
   /// round's proof objects — the pre-tree behavior). Ignored when

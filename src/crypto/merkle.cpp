@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <string_view>
 
 #include "common/thread_pool.h"
 #include "crypto/ct.h"
@@ -61,13 +62,21 @@ Digest32 MerkleTree::hash_leaf(BytesView data) {
   return h.finalize();
 }
 
+const Sha256State& MerkleTree::node_iv() {
+  static const Sha256State kNodeIv = [] {
+    std::array<u8, 64> block{};
+    constexpr std::string_view kTag = "zkt.merkle.node.v2";
+    std::memcpy(block.data(), kTag.data(), kTag.size());
+    return sha256_compress(Sha256State::initial(), block);
+  }();
+  return kNodeIv;
+}
+
 Digest32 MerkleTree::hash_node(const Digest32& left, const Digest32& right) {
-  Sha256 h;
-  const u8 tag = 0x01;
-  h.update(BytesView(&tag, 1));
-  h.update(left.view());
-  h.update(right.view());
-  return h.finalize();
+  std::array<u8, 64> block;
+  std::memcpy(block.data(), left.bytes.data(), 32);
+  std::memcpy(block.data() + 32, right.bytes.data(), 32);
+  return sha256_compress(node_iv(), block).to_digest();
 }
 
 std::vector<Digest32> MerkleTree::hash_leaves(
@@ -80,27 +89,12 @@ void MerkleTree::hash_pairs(std::span<const Digest32> nodes,
   const size_t n = nodes.size() / 2;
   assert(out.size() == n && nodes.size() % 2 == 0);
   if (n == 0) return;
-  // hash_node's message is exactly 65 bytes (0x01 || left || right), i.e.
-  // two compression blocks per pair; batch each block position across all
-  // pairs so the SIMD backends see full lanes.
-  std::vector<Sha256State> states(n, Sha256State::initial());
+  // A node is one compression of (left || right) from node_iv(); batch all
+  // pairs into one call so the SIMD backends see full lanes.
+  std::vector<Sha256State> states(n, node_iv());
   std::vector<std::array<u8, 64>> blocks(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::array<u8, 64>& block = blocks[i];
-    block[0] = 0x01;
-    std::memcpy(block.data() + 1, nodes[2 * i].bytes.data(), 32);
-    std::memcpy(block.data() + 33, nodes[2 * i + 1].bytes.data(), 31);
-  }
-  sha256_compress_many(states, blocks);
-  for (size_t i = 0; i < n; ++i) {
-    std::array<u8, 64>& block = blocks[i];
-    block.fill(0);
-    block[0] = nodes[2 * i + 1].bytes[31];
-    block[1] = 0x80;
-    // 65 bytes = 520 bits, big-endian in the trailing length field.
-    block[62] = 0x02;
-    block[63] = 0x08;
-  }
+  static_assert(sizeof(Digest32) == 32);
+  std::memcpy(blocks.data(), nodes.data(), 64 * n);
   sha256_compress_many(states, blocks);
   for (size_t i = 0; i < n; ++i) out[i] = states[i].to_digest();
 }
@@ -190,6 +184,38 @@ void MerkleTree::update_leaf(u64 index, const Digest32& new_leaf) {
     levels_[level + 1][parent] =
         hash_node(levels_[level][parent * 2], levels_[level][parent * 2 + 1]);
     idx = parent;
+  }
+}
+
+void MerkleTree::update_leaves(
+    std::span<const std::pair<u64, Digest32>> updates) {
+  if (updates.empty()) return;
+  assert(!levels_.empty());
+  std::vector<u64> dirty;  // parent indices at the level being recomputed
+  dirty.reserve(updates.size());
+  for (const auto& [index, leaf] : updates) {
+    assert(index < levels_[0].size());
+    levels_[0][index] = leaf;
+    dirty.push_back(index >> 1);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  std::vector<Digest32> pairs;
+  std::vector<Digest32> parents;
+  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
+    // Halving keeps the list sorted, so dedup alone suffices per level.
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    const auto& below = levels_[level];
+    pairs.resize(2 * dirty.size());
+    parents.resize(dirty.size());
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      pairs[2 * i] = below[2 * dirty[i]];
+      pairs[2 * i + 1] = below[2 * dirty[i] + 1];
+    }
+    hash_pairs(pairs, parents);
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      levels_[level + 1][dirty[i]] = parents[i];
+      dirty[i] >>= 1;
+    }
   }
 }
 

@@ -8,16 +8,21 @@
 //     indices.
 //
 // Leaves are padded to a power of two with a distinguished empty digest.
-// Leaf and internal node hashes are domain-separated (0x00 / 0x01 prefixes)
-// so a leaf can never be confused with an interior node.
+// A leaf is SHA-256(0x00 || data) from the standard IV; an internal node is
+// ONE compression of (left || right) from node_iv(), a fixed chaining state
+// no leaf hash passes through, so a leaf can never be confused with an
+// interior node.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
 #include "common/serial.h"
 #include "crypto/digest.h"
+#include "crypto/sha256.h"
 
 namespace zkt::crypto {
 
@@ -72,7 +77,11 @@ class MerkleTree {
 
   /// Domain-separated leaf hash of raw data.
   static Digest32 hash_leaf(BytesView data);
-  /// Domain-separated internal node hash.
+  /// Chaining state every internal node hash starts from:
+  /// sha256_compress(IV, "zkt.merkle.node.v2" zero-padded to 64 bytes).
+  static const Sha256State& node_iv();
+  /// Internal node hash: sha256_compress(node_iv(), left || right), one
+  /// compression with no length padding (the input is always 64 bytes).
   static Digest32 hash_node(const Digest32& left, const Digest32& right);
   /// Batched hash_leaf over independent messages: out[i] = hash_leaf(datas[i]).
   /// Dispatches to the fastest available SHA-256 backend (crypto/
@@ -102,6 +111,12 @@ class MerkleTree {
 
   /// Replace the leaf at `index` and recompute the path to the root.
   void update_leaf(u64 index, const Digest32& new_leaf);
+
+  /// Replace many leaves at once ((index, digest) pairs, each index <
+  /// capacity(); a later pair for the same index wins), then recompute only
+  /// the dirty parents, level by level, through hash_pairs. Same root as
+  /// update_leaf per pair, with each stale node hashed once.
+  void update_leaves(std::span<const std::pair<u64, Digest32>> updates);
 
   /// Append a leaf; returns its index. Doubles capacity when full.
   u64 append_leaf(const Digest32& leaf);

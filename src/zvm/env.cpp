@@ -51,9 +51,9 @@ BytesView Env::row_bytes(u64 i) const {
   return BytesView(rows_.data() + row_offsets_[i], end - row_offsets_[i]);
 }
 
-Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView a, BytesView b) {
+Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView data) {
   // Each FIPS 180-4 padded block is assembled in `block` straight from the
-  // message parts, then compressed and recorded as one row.
+  // tag and the message, then compressed and recorded as one row.
   RowSha256 row;
   row.state_out = crypto::Sha256State::initial();
   std::array<u8, 64>& block = row.block;
@@ -77,10 +77,9 @@ Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView a, BytesView b) {
     }
   };
   if (tag.has_value()) absorb(BytesView(&*tag, 1));
-  absorb(a);
-  absorb(b);
+  absorb(data);
 
-  const u64 bit_len = 8 * ((tag.has_value() ? 1 : 0) + a.size() + b.size());
+  const u64 bit_len = 8 * ((tag.has_value() ? 1 : 0) + data.size());
   block[fill++] = 0x80;
   if (fill > 56) {
     std::memset(block.data() + fill, 0, 64 - fill);
@@ -96,15 +95,24 @@ Digest32 Env::traced_sha256(std::optional<u8> tag, BytesView a, BytesView b) {
 }
 
 Digest32 Env::sha256(BytesView data) {
-  return traced_sha256(std::nullopt, data, {});
+  return traced_sha256(std::nullopt, data);
 }
 
 Digest32 Env::hash_node(const Digest32& left, const Digest32& right) {
-  return traced_sha256(u8{0x01}, left.view(), right.view());
+  // One compression from the node IV (crypto::MerkleTree::hash_node), so
+  // one row; the verifier rechecks it like any other compression row.
+  RowSha256 row;
+  row.state_in = crypto::MerkleTree::node_iv();
+  std::memcpy(row.block.data(), left.bytes.data(), 32);
+  std::memcpy(row.block.data() + 32, right.bytes.data(), 32);
+  row.state_out = crypto::sha256_compress(row.state_in, row.block);
+  record(row);
+  ++sha_rows_;
+  return row.state_out.to_digest();
 }
 
 Digest32 Env::hash_leaf(BytesView data) {
-  return traced_sha256(u8{0x00}, data, {});
+  return traced_sha256(u8{0x00}, data);
 }
 
 u64 Env::alu(AluOp op, u64 a, u64 b) {

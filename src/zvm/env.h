@@ -57,7 +57,7 @@ class Env {
   // ---- Provable computation ----
   /// SHA-256 with traced compression rows.
   Digest32 sha256(BytesView data);
-  /// Traced Merkle node hash (domain-separated pair hash).
+  /// Traced Merkle node hash: one compression row from the node IV.
   Digest32 hash_node(const Digest32& left, const Digest32& right);
   /// Traced Merkle leaf hash.
   Digest32 hash_leaf(BytesView data);
@@ -111,8 +111,8 @@ class Env {
   const std::vector<Assumption>& assumptions() const { return assumptions_; }
 
  private:
-  /// SHA-256 of (tag || a || b) with one traced row per compression.
-  Digest32 traced_sha256(std::optional<u8> tag, BytesView a, BytesView b);
+  /// SHA-256 of (tag || data) with one traced row per compression.
+  Digest32 traced_sha256(std::optional<u8> tag, BytesView data);
   /// Append `row`, encoded in place, to the trace.
   template <typename Row>
   void record(const Row& row);

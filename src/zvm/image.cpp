@@ -7,7 +7,7 @@ namespace zkt::zvm {
 
 ImageID compute_image_id(std::string_view name, u32 version) {
   Writer w;
-  w.str("zkt.image.v1");
+  w.str("zkt.image.v2");
   w.str(name);
   w.u32v(version);
   return crypto::sha256(w.bytes());

@@ -110,15 +110,17 @@ TEST(GoldenReceipt, FixedChainReceiptBytesArePinned) {
   const Pinned got[] = {pin(full.value().receipt), pin(delta.value().receipt),
                         pin(complete.value().receipt),
                         pin(selective.value().receipt)};
+  // Pinned under image domain "zkt.image.v2" (aggregate guest v2, one-
+  // compression Merkle nodes from MerkleTree::node_iv()).
   const Pinned want[] = {
-      {"50c355a8ec9481040396eed43019e8859b8b72f22b31c4daaf7c6bd66b335a12",
-       "5c7e4963354009959dc273393c5759db8627ace94b6a7e5a9e925a1dba88990b"},
-      {"a798c12918d6959f9e9319d66b31aef4c636499df70f0e8313ae2db08566ecee",
-       "cd4158d3845ffcbd6e80b3dda0a4f8c9bc7d76bd84a793173efff93588b9443a"},
-      {"7cebcff29eb58b04857f1b25bed23dd5bceb3a07f21339731922cc37a006593d",
-       "1e1ec3db2ff2ca2166416ee3ad22173eb15aa86b9c251a7500312d75a65c7cc4"},
-      {"c1cd90642db8425b002e6ca8434fcf6ff821cafbb9c40b1e0d100174b5a3c747",
-       "e9d7d4f6fa596c2e29fef47c2ec6e8f605c40d4ea3192d6f58fbed19ca3581bd"},
+      {"78d230eaf0cc0626faada643de416fe46d41abe25f1d55c71687b27b5df5f99b",
+       "8e810281bab7cf6671fe4764c442f2fcd36f4933ddde1b82242f52bf40cc0377"},
+      {"e7a6df017bb20f647ede6d53774333e4bf5d83dea3f0b26bb5710f2a41851dac",
+       "e01da7302c12c21494062d2702694b7ea8dd6ee2e426ec26566d2587c3a00676"},
+      {"65f30f2a1c3e4ee731fc1ebd10db21224bea72a0f28d101a99da2fabc705e859",
+       "710204cc292ab51780334f021e276d2d11efbca9f5d7a9c0fa23629632baadc7"},
+      {"af5d5b3b9658e1cf36fa60ae13568a02f36c591ad3e3d93f7ba303d49d8e2820",
+       "728e7f6d1c1cbd742d4ccc68e3ead9c8526f3e54fbdd46027124f73064b5685d"},
   };
   const char* names[] = {"full round", "delta round", "complete query",
                          "selective query"};

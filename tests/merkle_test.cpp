@@ -123,6 +123,37 @@ TEST(Merkle, UpdateLeafChangesOnlyExpectedRoot) {
   }
 }
 
+TEST(Merkle, UpdateLeavesMatchesFreshBuild) {
+  // Batched refresh: repeated indices (last write wins), a 1-leaf tree and
+  // non-power-of-two leaf counts; the root must equal a fresh build over
+  // the final leaves.
+  for (u64 n : {1u, 2u, 5u, 13u, 64u, 100u}) {
+    auto leaves = make_leaves(n);
+    MerkleTree tree(leaves);
+    std::vector<std::pair<u64, Digest32>> updates;
+    for (u64 i = 0; i < 3 * n; ++i) {
+      const u64 index = (i * 7) % n;
+      updates.emplace_back(index, MerkleTree::hash_leaf(as_bytes_view(i)));
+      leaves[index] = updates.back().second;
+    }
+    updates.emplace_back(0, MerkleTree::hash_leaf(bytes_of("first")));
+    updates.emplace_back(0, MerkleTree::hash_leaf(bytes_of("final")));
+    leaves[0] = updates.back().second;
+    tree.update_leaves(updates);
+    EXPECT_EQ(tree.root(), MerkleTree(leaves).root()) << n;
+    EXPECT_EQ(tree.leaf_count(), n);
+    for (u64 i = 0; i < n; ++i) {
+      EXPECT_TRUE(
+          MerkleTree::verify(tree.root(), tree.leaf(i), tree.prove(i)).ok())
+          << n << " leaf " << i;
+    }
+  }
+  MerkleTree untouched(make_leaves(6));
+  const Digest32 before = untouched.root();
+  untouched.update_leaves({});
+  EXPECT_EQ(untouched.root(), before);
+}
+
 TEST(Merkle, ProofBoundToPosition) {
   MerkleTree tree(make_leaves(8));
   auto proof = tree.prove(2);
@@ -157,13 +188,40 @@ TEST(Merkle, LeafCountMismatchRejected) {
 
 TEST(Merkle, LeafAndNodeDomainsSeparated) {
   // hash_leaf(x) != hash_node parts: a 64-byte "leaf" that spells two
-  // digests must not collide with the internal node over those digests.
-  const Digest32 a = sha256(std::string_view("a"));
-  const Digest32 b = sha256(std::string_view("b"));
-  Bytes concat;
-  append(concat, a.view());
-  append(concat, b.view());
-  EXPECT_NE(MerkleTree::hash_leaf(concat), MerkleTree::hash_node(a, b));
+  // digests must not collide with the internal node over those digests,
+  // nor may the node equal a plain SHA-256 or a compression of the same 64
+  // bytes from the standard IV (the node IV is what separates the domains).
+  for (u64 i = 0; i < 16; ++i) {
+    const Digest32 a = sha256(as_bytes_view(i));
+    const Digest32 b = sha256(as_bytes_view(i + 1000));
+    Bytes concat;
+    append(concat, a.view());
+    append(concat, b.view());
+    ASSERT_EQ(concat.size(), 64u);
+    std::array<u8, 64> block;
+    std::copy(concat.begin(), concat.end(), block.begin());
+    const Digest32 node = MerkleTree::hash_node(a, b);
+    EXPECT_NE(MerkleTree::hash_leaf(concat), node) << i;
+    EXPECT_NE(sha256(concat), node) << i;
+    EXPECT_NE(sha256_compress(Sha256State::initial(), block).to_digest(),
+              node)
+        << i;
+    EXPECT_EQ(sha256_compress(MerkleTree::node_iv(), block).to_digest(),
+              node)
+        << i;
+  }
+}
+
+TEST(Merkle, NodeIvKnownAnswer) {
+  // sha256_compress(IV, "zkt.merkle.node.v2" zero-padded to 64 bytes) and
+  // one node over known children, both computed with an independent
+  // SHA-256 compression implementation.
+  EXPECT_EQ(MerkleTree::node_iv().to_digest().hex(),
+            "648190fecb25ca392e1cb8c38a2d02f4f77a86755facb6f7311f04fdf7ee5382");
+  EXPECT_EQ(MerkleTree::hash_node(sha256(std::string_view("a")),
+                                  sha256(std::string_view("b")))
+                .hex(),
+            "cc19681ca15cd39c9f68de561211253d542406f014f3af95ba80447dd66be669");
 }
 
 TEST(Merkle, ProofSerializationRoundTrip) {

@@ -113,12 +113,12 @@ TEST_P(ShardedE2E, RoundsAggregateAndAudit) {
   // Shards jointly hold every distinct flow exactly once.
   u64 expected_flows = 0;
   {
-    std::set<Bytes> keys;
+    std::set<netflow::FlowKey> keys;
     for (u64 window = 1; window <= 2; ++window) {
       for (u32 router = 0; router < 2; ++router) {
         const auto batch = build_batch(router, window, router == 0 ? 20 : 15);
         for (const auto& rec : batch.records) {
-          keys.insert(rec.key.canonical_bytes());
+          keys.insert(rec.key);
         }
       }
     }

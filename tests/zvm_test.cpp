@@ -93,11 +93,19 @@ TEST(Env, TracedSha256MatchesNative) {
   }
 }
 
-TEST(Env, HashNodeMatchesMerkle) {
+TEST(Env, HashNodeIsOneCompressionFromNodeIv) {
   Env env({}, {});
   const Digest32 a = sha256(std::string_view("a"));
   const Digest32 b = sha256(std::string_view("b"));
-  EXPECT_EQ(env.hash_node(a, b), crypto::MerkleTree::hash_node(a, b));
+  std::array<u8, 64> block;
+  std::copy(a.bytes.begin(), a.bytes.end(), block.begin());
+  std::copy(b.bytes.begin(), b.bytes.end(), block.begin() + 32);
+  const Digest32 node = env.hash_node(a, b);
+  EXPECT_EQ(node, crypto::sha256_compress(crypto::MerkleTree::node_iv(), block)
+                      .to_digest());
+  EXPECT_EQ(node, crypto::MerkleTree::hash_node(a, b));
+  EXPECT_EQ(env.cycles(), 1u);
+  EXPECT_EQ(env.sha_rows(), 1u);
   EXPECT_EQ(env.hash_leaf(bytes_of("x")),
             crypto::MerkleTree::hash_leaf(bytes_of("x")));
 }
@@ -221,13 +229,23 @@ TEST(Env, TracedHashesMatchNativeAtEveryPaddingEdge) {
     check_rows(env, mark, n + 1, leaf);
     EXPECT_EQ(env.sha_rows(), env.cycles());
   }
+  // A node is one row: (node_iv, left || right) -> the node digest.
   Env env({}, {});
   const Digest32 a = sha256(std::string_view("left"));
   const Digest32 b = sha256(std::string_view("right"));
-  Bytes node{0x01};
-  node.insert(node.end(), a.bytes.begin(), a.bytes.end());
-  node.insert(node.end(), b.bytes.begin(), b.bytes.end());
-  EXPECT_EQ(env.hash_node(a, b), sha256(node));
+  const Digest32 node = env.hash_node(a, b);
+  ASSERT_EQ(env.cycles(), 1u);
+  EXPECT_EQ(env.sha_rows(), 1u);
+  Reader r(env.row_bytes(0));
+  auto row = TraceRow::deserialize(r);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(row.value().check().ok());
+  const auto& sha = std::get<RowSha256>(row.value().op);
+  EXPECT_EQ(sha.state_in, crypto::MerkleTree::node_iv());
+  EXPECT_TRUE(std::equal(a.bytes.begin(), a.bytes.end(), sha.block.begin()));
+  EXPECT_TRUE(
+      std::equal(b.bytes.begin(), b.bytes.end(), sha.block.begin() + 32));
+  EXPECT_EQ(sha.state_out.to_digest(), node);
 }
 
 TEST(Env, RecordedRowsRoundTripThroughTraceRow) {
