@@ -83,7 +83,9 @@ void BM_MerkleUpdateLeaf(benchmark::State& state) {
   crypto::MerkleTree tree(leaf_digests);
   u64 i = 0;
   for (auto _ : state) {
-    tree.update_leaf(i % leaves, crypto::sha256(as_bytes_view(i)));
+    const std::pair<u64, crypto::Digest32> update{
+        i % leaves, crypto::sha256(as_bytes_view(i))};
+    tree.update_leaves({&update, 1});
     ++i;
   }
   benchmark::DoNotOptimize(tree.root());

@@ -166,9 +166,14 @@ bool AggregationService::pick_incremental(const DeltaShape& shape) const {
   const u64 depth_new = tree_depth(n + shape.fresh.size());
   // Traced-hash estimates; record hashing and merge ALU cost are identical
   // in both guests and cancel out. Full: leaf-hash all N entries, build the
-  // prev tree, one path check per record, rebuild the changed subtrees.
-  // Incremental: leaf-hash only opened + new entries, then one dual-lane
-  // multiproof walk.
+  // prev tree, rebuild the changed subtrees. Incremental: leaf-hash only
+  // opened + new entries, then one dual-lane multiproof walk.
+  // The `records * tree_depth(n)` term prices a per-record path check the
+  // full guest no longer runs (aggregate v2). It is kept on purpose: the
+  // threshold was fitted with it, and dropping it alone flips mid-size
+  // rounds (e.g. 512 records over 256 flows) from the delta guest to the
+  // full one. Remove it only together with a threshold re-fitted against
+  // measured rounds (open item in CHANGES.md).
   const u64 est_full = n + std::bit_ceil(std::max<u64>(n, 1)) +
                        shape.records * tree_depth(n) + k * (depth_new + 1);
   const u64 est_inc =

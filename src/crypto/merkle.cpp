@@ -175,18 +175,6 @@ MerkleProof MerkleTree::prove(u64 index) const {
   return proof;
 }
 
-void MerkleTree::update_leaf(u64 index, const Digest32& new_leaf) {
-  assert(!levels_.empty() && index < levels_[0].size());
-  levels_[0][index] = new_leaf;
-  u64 idx = index;
-  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const u64 parent = idx >> 1;
-    levels_[level + 1][parent] =
-        hash_node(levels_[level][parent * 2], levels_[level][parent * 2 + 1]);
-    idx = parent;
-  }
-}
-
 void MerkleTree::update_leaves(
     std::span<const std::pair<u64, Digest32>> updates) {
   if (updates.empty()) return;
@@ -231,7 +219,8 @@ u64 MerkleTree::append_leaf(const Digest32& leaf) {
     rebuild();
   } else {
     ++leaf_count_;
-    update_leaf(index, leaf);
+    const std::pair<u64, Digest32> update{index, leaf};
+    update_leaves({&update, 1});
   }
   return index;
 }

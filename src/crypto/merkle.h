@@ -109,13 +109,9 @@ class MerkleTree {
   /// Inclusion proof for leaf `index` (must be < leaf_count()).
   MerkleProof prove(u64 index) const;
 
-  /// Replace the leaf at `index` and recompute the path to the root.
-  void update_leaf(u64 index, const Digest32& new_leaf);
-
-  /// Replace many leaves at once ((index, digest) pairs, each index <
-  /// capacity(); a later pair for the same index wins), then recompute only
-  /// the dirty parents, level by level, through hash_pairs. Same root as
-  /// update_leaf per pair, with each stale node hashed once.
+  /// Replace leaves ((index, digest) pairs, each index < capacity(); a later
+  /// pair for the same index wins), then recompute only the dirty parents,
+  /// level by level, through hash_pairs, so each stale node is hashed once.
   void update_leaves(std::span<const std::pair<u64, Digest32>> updates);
 
   /// Append a leaf; returns its index. Doubles capacity when full.

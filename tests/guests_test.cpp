@@ -210,127 +210,6 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomWorkloadCase{4, 1, 50, 50}));
 
 // ---------------------------------------------------------------------------
-// Previous-state binding of the full-rebuild guest
-
-// The full guest hashes every previous entry it is given, rebuilds the
-// previous tree in-trace and asserts the root equals prev_root. That check
-// alone binds each entry a record merges into (there is no per-record path
-// walk), so a host feeding a doctored previous state must abort there.
-class TamperedPrevState : public ::testing::Test {
- protected:
-  static RLogBatch batch_over(u64 window, std::vector<u32> srcs) {
-    RLogBatch batch;
-    batch.router_id = 0;
-    batch.window_id = window;
-    for (u32 src : srcs) {
-      FlowRecord record;
-      PacketObservation pkt;
-      pkt.key = {src, 0x0a000001, static_cast<u16>(2000 + src), 443, 6};
-      pkt.timestamp_ms = window * 5000;
-      pkt.bytes = 100 + src;
-      pkt.hop_count = 3;
-      record.observe(pkt);
-      batch.records.push_back(std::move(record));
-    }
-    return batch;
-  }
-
-  void SetUp() override {
-    auto genesis = batch_over(1, {10, 20, 30, 40, 50, 60});
-    ASSERT_TRUE(board_.publish(make_commitment(genesis, key_, 0).value()).ok());
-    ASSERT_TRUE(service_.aggregate({genesis}).ok());
-    // The next window merges into three existing flows.
-    next_ = batch_over(2, {20, 30, 50});
-    ASSERT_TRUE(board_.publish(make_commitment(next_, key_, 1).value()).ok());
-  }
-
-  /// The honest full-guest input for window 2, built by hand.
-  AggregateInput honest_input() const {
-    AggregateInput input;
-    input.has_prev = true;
-    input.prev_claim_digest = service_.last_receipt().claim.digest();
-    input.prev_image_kind = RoundKind::full;
-    input.prev_root = service_.state().root();
-    input.prev_entries = service_.state().entry_bytes();
-    const auto commitment = board_.get(next_.router_id, next_.window_id);
-    CommitmentRef ref;
-    ref.router_id = next_.router_id;
-    ref.window_id = next_.window_id;
-    ref.rlog_hash = commitment->rlog_hash;
-    ref.record_count = commitment->record_count;
-    input.batches.emplace_back(ref, next_.canonical_bytes());
-    return input;
-  }
-
-  Result<zvm::Receipt> prove(const AggregateInput& input) const {
-    zvm::ProveOptions options;
-    options.assumptions.push_back(service_.last_receipt());
-    zvm::Prover prover;
-    return prover.prove(guest_images().aggregate, input.to_bytes(), options,
-                        nullptr);
-  }
-
-  static void expect_root_abort(const Result<zvm::Receipt>& result) {
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code, Errc::guest_abort);
-    EXPECT_NE(result.error().message.find("previous CLog state"),
-              std::string::npos)
-        << result.error().to_string();
-  }
-
-  static FlowRecord parse(const Bytes& bytes) {
-    Reader r(bytes);
-    return FlowRecord::deserialize(r).value();
-  }
-
-  CommitmentBoard board_;
-  crypto::SchnorrKeyPair key_ = crypto::schnorr_keygen_from_seed("prev-tamper");
-  AggregationService service_{
-      board_, AggregationOptions{.mode = AggMode::full, .sketch = std::nullopt}};
-  RLogBatch next_;
-};
-
-TEST_F(TamperedPrevState, HonestInputProves) {
-  auto receipt = prove(honest_input());
-  ASSERT_TRUE(receipt.ok()) << receipt.error().to_string();
-  auto journal = AggJournal::parse(receipt.value().journal);
-  ASSERT_TRUE(journal.ok());
-  CLogState expected = service_.state();
-  expected.apply_records(next_.records);
-  EXPECT_EQ(journal.value().new_root, expected.root());
-}
-
-TEST_F(TamperedPrevState, AlteredEntryBytesAbort) {
-  // Inflate a merge target's packet count; the entry still parses and the
-  // keys stay sorted.
-  AggregateInput input = honest_input();
-  FlowRecord entry = parse(input.prev_entries[1]);
-  entry.packets += 1000;
-  input.prev_entries[1] = entry.canonical_bytes();
-  expect_root_abort(prove(input));
-}
-
-TEST_F(TamperedPrevState, DroppedEntryAborts) {
-  // Hide a merge target: its record would then look like a new flow.
-  AggregateInput input = honest_input();
-  input.prev_entries.erase(input.prev_entries.begin() + 1);
-  expect_root_abort(prove(input));
-}
-
-TEST_F(TamperedPrevState, SwappedKeysAbort) {
-  // Swap the keys of two merge targets and re-sort, i.e. hand each flow the
-  // other's counters; every entry is individually well formed.
-  AggregateInput input = honest_input();
-  FlowRecord first = parse(input.prev_entries[1]);
-  FlowRecord second = parse(input.prev_entries[2]);
-  ASSERT_NE(first.bytes, second.bytes);
-  std::swap(first.key, second.key);
-  input.prev_entries[1] = second.canonical_bytes();
-  input.prev_entries[2] = first.canonical_bytes();
-  expect_root_abort(prove(input));
-}
-
-// ---------------------------------------------------------------------------
 // Query-mode equivalence
 
 struct QueryCase {

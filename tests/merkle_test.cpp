@@ -110,7 +110,8 @@ TEST(Merkle, UpdateLeafChangesOnlyExpectedRoot) {
   auto leaves = make_leaves(10);
   MerkleTree tree(leaves);
   const Digest32 new_leaf = MerkleTree::hash_leaf(bytes_of("updated"));
-  tree.update_leaf(3, new_leaf);
+  const std::pair<u64, Digest32> update{3, new_leaf};
+  tree.update_leaves({&update, 1});
 
   leaves[3] = new_leaf;
   MerkleTree rebuilt(leaves);

@@ -110,7 +110,9 @@ INSTANTIATE_TEST_SUITE_P(Positions, ReceiptByteFlips,
                                            761, 1021, 1531));
 
 // Tampering with the prover's CLog state between rounds: the next round's
-// guest recomputes the previous root from the supplied entries and aborts.
+// full guest rebuilds the previous tree from the supplied entries and asserts
+// its root. With no per-record path walk, that root check alone binds every
+// entry a record merges into, so each doctored state must abort there.
 TEST(StateTamper, ModifiedHostStateBreaksNextRound) {
   CommitmentBoard board;
   const auto key = crypto::schnorr_keygen_from_seed("stateflip");
@@ -122,35 +124,74 @@ TEST(StateTamper, ModifiedHostStateBreaksNextRound) {
   // The provider "loses" its state and substitutes doctored entries by
   // constructing a fresh service with a different history, then tries to
   // continue the old chain by replaying the old receipt as its assumption.
+  // batch2 carries the same flows, so every record merges into an entry.
   auto batch2 = build_batch(0, 2, 5);
   ASSERT_TRUE(board.publish(make_commitment(batch2, key, 10000).value()).ok());
 
-  AggregateInput input;
-  input.has_prev = true;
-  input.prev_claim_digest = service.last_claim_digest().value();
-  input.prev_root = service.state().root();
-  input.prev_entries = service.state().entry_bytes();
-  // Tamper: inflate a counter in entry 0 (root no longer matches entries).
-  {
-    Reader r(input.prev_entries[0]);
-    auto entry = FlowRecord::deserialize(r).value();
-    entry.packets += 1000;
-    input.prev_entries[0] = entry.canonical_bytes();
-  }
-  CommitmentRef ref;
-  ref.router_id = 0;
-  ref.window_id = 2;
-  ref.rlog_hash = batch2.hash();
-  ref.record_count = batch2.records.size();
-  input.batches.emplace_back(ref, batch2.canonical_bytes());
+  const auto parse = [](const Bytes& bytes) {
+    Reader r(bytes);
+    return FlowRecord::deserialize(r).value();
+  };
+  const auto prove = [&](auto&& tamper) {
+    AggregateInput input;
+    input.has_prev = true;
+    input.prev_claim_digest = service.last_claim_digest().value();
+    input.prev_root = service.state().root();
+    input.prev_entries = service.state().entry_bytes();
+    tamper(input.prev_entries);
+    CommitmentRef ref;
+    ref.router_id = 0;
+    ref.window_id = 2;
+    ref.rlog_hash = batch2.hash();
+    ref.record_count = batch2.records.size();
+    input.batches.emplace_back(ref, batch2.canonical_bytes());
 
-  zvm::ProveOptions options;
-  options.assumptions.push_back(service.last_receipt());
-  zvm::Prover prover;
-  auto receipt = prover.prove(guest_images().aggregate, input.to_bytes(),
-                              options);
-  ASSERT_FALSE(receipt.ok());
-  EXPECT_EQ(receipt.error().code, Errc::guest_abort);
+    zvm::ProveOptions options;
+    options.assumptions.push_back(service.last_receipt());
+    zvm::Prover prover;
+    return prover.prove(guest_images().aggregate, input.to_bytes(), options);
+  };
+  const auto expect_root_abort = [](const Result<zvm::Receipt>& receipt) {
+    ASSERT_FALSE(receipt.ok());
+    EXPECT_EQ(receipt.error().code, Errc::guest_abort);
+    EXPECT_NE(receipt.error().message.find(
+                  "previous CLog state vs committed root"),
+              std::string::npos)
+        << receipt.error().to_string();
+  };
+
+  // Control: the same hand-built input, untampered, proves.
+  auto honest = prove([](std::vector<Bytes>&) {});
+  ASSERT_TRUE(honest.ok()) << honest.error().to_string();
+
+  {
+    SCOPED_TRACE("inflated counter in entry 0");
+    expect_root_abort(prove([&](std::vector<Bytes>& entries) {
+      auto entry = parse(entries[0]);
+      entry.packets += 1000;
+      entries[0] = entry.canonical_bytes();
+    }));
+  }
+  {
+    // Hiding a merge target would make its record look like a new flow.
+    SCOPED_TRACE("dropped entry 1");
+    expect_root_abort(prove([](std::vector<Bytes>& entries) {
+      entries.erase(entries.begin() + 1);
+    }));
+  }
+  {
+    // Swapping two keys in place keeps the state key-sorted and every entry
+    // well formed, but hands each flow the other's counters.
+    SCOPED_TRACE("keys of entries 1 and 2 swapped");
+    expect_root_abort(prove([&](std::vector<Bytes>& entries) {
+      auto first = parse(entries[1]);
+      auto second = parse(entries[2]);
+      ASSERT_NE(first.bytes, second.bytes);
+      std::swap(first.key, second.key);
+      entries[1] = second.canonical_bytes();
+      entries[2] = first.canonical_bytes();
+    }));
+  }
 }
 
 // Feeding a different batch than committed (same size, different content).
